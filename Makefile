@@ -6,7 +6,7 @@ GO ?= go
 # wholesale untested subsystem does.
 COVER_FLOOR ?= 70.0
 
-.PHONY: all test race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-gate obs-smoke shard-smoke serve-smoke ingest-smoke build ci
+.PHONY: all test fmt-check race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-gate obs-smoke shard-smoke serve-smoke ingest-smoke build ci
 
 all: test
 
@@ -18,6 +18,12 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# Formatting gate: every Go file outside testdata (analyzer fixtures may
+# be deliberately unformatted) must be gofmt-clean.
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 # The in-repo static-analysis suite (determinism, enum exhaustiveness,
 # concurrency hygiene, error discipline, and the pool/lock/goroutine
@@ -142,11 +148,13 @@ obs-smoke:
 	$(GO) run ./cmd/dnssec-scan -scale 500000 -trace-out artifacts/trace.jsonl -out headline
 	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl
 
-# The full local CI gate: vet, the lint suite, build, the race-enabled
-# test suite (includes the chaos, cache-invariance and
-# observability-neutrality regressions), the fuzz smoke and the trace
-# round-trip.
+# The full local CI gate: formatting, vet, the lint suite, build, the
+# race-enabled test suite (includes the chaos, cache-invariance and
+# observability-neutrality regressions), coverage, the fuzz smoke, the
+# ingestion, trace round-trip, shard and serving smokes, and the
+# allocation gate.
 ci:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-pragma-budget

@@ -286,7 +286,7 @@ func BenchmarkScanCached(b *testing.B) {
 	// Stateless baselines, measured once outside the timer.
 	var statelessScanQ, statelessResQ int64
 	for _, z := range targets {
-		s := core.NewScanner(world, core.Options{Seed: 6, Concurrency: 1, DisableCache: true})
+		s := core.NewScanner(world, core.Options{Seed: 6, Concurrency: 1, Stateless: true})
 		statelessScanQ += s.ScanZone(ctx, z).Queries
 		r := &resolver.Resolver{Net: world.Net, Roots: world.Roots}
 		resolveZone(r, z)

@@ -13,6 +13,15 @@
 // Zone origins derive from filenames (<origin>.db / <origin>.zone);
 // -sign generates keys and signs every loaded zone in memory so DO
 // queries are answered with RRSIGs without a separate zonesign step.
+//
+// Behaviour flags reproduce the server quirks the paper observed in the
+// wild: -legacy (FORMERR on post-2003 query types such as CDS),
+// -refuse-any (RFC 8482 HINFO for ANY), -servfail-rate and -drop-rate
+// (transient SERVFAIL / silent drops). The quirks act on response-cache
+// misses only, since a cached answer is replayed without consulting the
+// server; -cache-entries 0 applies them to every query:
+//
+//	dnsd -listen 127.0.0.1:5353 -cache-entries 0 -legacy zone1.db   # FORMERR on CDS
 package main
 
 import (
@@ -49,6 +58,10 @@ func run(args []string) int {
 		metricsEvery = fs.Duration("metrics-every", 10*time.Second, "metrics snapshot interval")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
 		seed         = fs.Int64("seed", 1, "behaviour randomness seed")
+		legacy       = fs.Bool("legacy", false, "error on post-2003 query types (pre-RFC 3597 behaviour)")
+		refuseANY    = fs.Bool("refuse-any", false, "answer ANY with RFC 8482 HINFO")
+		servfail     = fs.Float64("servfail-rate", 0, "probability of transient SERVFAIL")
+		drop         = fs.Float64("drop-rate", 0, "probability of silently dropping a query")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,7 +71,23 @@ func run(args []string) int {
 		return 2
 	}
 
+	for _, f := range []struct {
+		name string
+		p    float64
+	}{{"-servfail-rate", *servfail}, {"-drop-rate", *drop}} {
+		if !(f.p >= 0 && f.p <= 1) {
+			fmt.Fprintf(os.Stderr, "dnsd: %s %v: must be a probability in [0, 1]\n", f.name, f.p)
+			return 2
+		}
+	}
+
 	srv := server.New(*seed)
+	srv.Behavior = server.Behavior{
+		LegacyUnknownTypes: *legacy,
+		RefuseANY:          *refuseANY,
+		ServfailRate:       *servfail,
+		DropRate:           *drop,
+	}
 	for _, path := range fs.Args() {
 		z, err := loadZone(path, *sign)
 		if err != nil {
@@ -74,6 +103,11 @@ func run(args []string) int {
 	if *cacheEntries > 0 {
 		handler = &server.CachedHandler{Inner: srv, Cache: server.NewCache(*cacheEntries, reg)}
 	}
+	// Catch shutdown signals before the address is published: a
+	// supervisor may signal as soon as -addr-file appears, and that
+	// signal must drain the daemon, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	l, err := server.ListenConfig(*listen, handler, server.Config{
 		UDPWorkers:  *workers,
 		UDPBacklog:  *backlog,
@@ -113,8 +147,6 @@ func run(args []string) int {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "dnsd: %s, draining (budget %s)\n", got, *drainTimeout)
 

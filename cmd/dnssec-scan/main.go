@@ -86,6 +86,22 @@ type runConfig struct {
 	ZoneOrigin   string  `json:"zonefile_origin,omitempty"`
 }
 
+// validate refuses numeric flags outside their meaningful range instead
+// of letting the pipeline silently clamp or default them.
+func validate(loss float64, retries int, rate float64, concurrency int) error {
+	switch {
+	case !(loss >= 0 && loss <= 1):
+		return fmt.Errorf("-loss %v: must be a probability in [0, 1]", loss)
+	case retries < 1:
+		return fmt.Errorf("-retries %d: must be at least 1 (1 = no retries)", retries)
+	case !(rate >= 0):
+		return fmt.Errorf("-rate %v: must be >= 0 (0 = unlimited)", rate)
+	case concurrency < 1:
+		return fmt.Errorf("-concurrency %d: must be at least 1", concurrency)
+	}
+	return nil
+}
+
 func fatal(prefix string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
 	os.Exit(1)
@@ -107,8 +123,7 @@ func main() {
 		loss         = flag.Float64("loss", 0, "inject this packet-loss probability on every simulated exchange (e.g. 0.02)")
 		retries      = flag.Int("retries", 1, "query attempts per server for transient failures (1 = no retries)")
 		chaosSeed    = flag.Int64("chaos-seed", 0, "seed for fault-injection and retry jitter (0 = use -seed)")
-		stateless    = flag.Bool("stateless", false, "pure per-zone resolution: no caches at all, byte-reproducible -dump across runs and resumes")
-		cache        = flag.Bool("cache", true, "shared delegation cache + singleflight deduplication (false = re-walk the root per zone)")
+		stateless    = flag.Bool("stateless", false, "pure per-zone resolution without the shared delegation cache: each zone re-walks the root, byte-reproducible -dump across runs and resumes")
 		cacheNegTTL  = flag.Duration("cache-neg-ttl", time.Minute, "how long NXDOMAIN/lame results are served from the negative cache")
 		metricsOut   = flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, latency histograms) to this file after the scan")
 		traceOut     = flag.String("trace-out", "", "write per-zone trace events as JSON lines to this file")
@@ -125,6 +140,10 @@ func main() {
 		zoneStrict   = flag.Bool("zonefile-strict", false, "abort -zonefile ingestion on the first malformed record instead of counting and skipping it")
 	)
 	flag.Parse()
+	if err := validate(*loss, *retries, *rate, *concurrency); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *zonefile != "" && *year != 0 {
 		fmt.Fprintln(os.Stderr, "-zonefile and -year are mutually exclusive: the target list comes from the dump, not the synthetic population")
 		os.Exit(2)
@@ -230,7 +249,7 @@ func main() {
 		Loss:         *loss,
 		Retries:      *retries,
 		ChaosSeed:    *chaosSeed,
-		Cache:        *cache && !*stateless,
+		Cache:        !*stateless,
 		Stateless:    *stateless,
 		CacheNegTTL:  cacheNegTTL.String(),
 		Dump:         *dump != "",
@@ -359,7 +378,6 @@ func main() {
 			LossRate:              *loss,
 			RetryAttempts:         *retries,
 			ChaosSeed:             *chaosSeed,
-			DisableCache:          !*cache,
 			Stateless:             *stateless,
 			CacheNegTTL:           *cacheNegTTL,
 			Registry:              registry,

@@ -11,7 +11,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -69,16 +68,12 @@ type Options struct {
 	// the zero-latency in-memory network.
 	RetryBackoff time.Duration
 
-	// DisableCache turns off the resolver's shared delegation cache and
-	// singleflight deduplication, restoring the seed pipeline's
-	// re-walk-the-root-per-zone behaviour. The cache is on by default.
-	DisableCache bool
 	// Stateless makes every zone's scan a pure function of (zone,
-	// world): it implies DisableCache and additionally disables the
-	// resolver's legacy memo maps, so per-zone query counts no longer
-	// depend on scan history or concurrency. This is the mode that
-	// makes a streamed JSONL export byte-identical across runs and
-	// across checkpoint resumes.
+	// world): the resolver runs without its shared delegation cache, so
+	// each zone re-walks from the root and per-zone query counts no
+	// longer depend on scan history or concurrency. This is the mode
+	// that makes a streamed JSONL export byte-identical across runs and
+	// across checkpoint resumes. The cache is on by default.
 	Stateless bool
 	// CacheNegTTL bounds how long negative (NXDOMAIN / lame) results
 	// are served from the cache. Zero uses the resolver default (60 s).
@@ -122,9 +117,7 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 	if opts.Registry != nil {
 		r.Obs = resolver.NewMetrics(opts.Registry)
 	}
-	if opts.Stateless {
-		r.Stateless = true
-	} else if !opts.DisableCache {
+	if !opts.Stateless {
 		r.Cache = resolver.NewCache(opts.CacheNegTTL)
 	}
 	if opts.QueriesPerSecondPerNS > 0 {
@@ -169,39 +162,31 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 	})
 }
 
-// Run executes the full pipeline: generate → scan → classify → report.
+// Run executes the full pipeline — generate → scan → classify →
+// report — through RunStream, collecting every zone's observation and
+// classification. A run stopped early by ctx returns ctx.Err().
 func Run(ctx context.Context, opts Options) (*Study, error) {
-	world := opts.World
-	if world == nil {
-		var err error
-		world, err = ecosystem.Generate(ecosystem.Config{
-			Seed:         opts.Seed,
-			ScaleDivisor: opts.ScaleDivisor,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: generating world: %w", err)
-		}
+	var observations []*scan.ZoneObservation
+	var results []*classify.Result
+	st, err := RunStream(ctx, StreamOptions{
+		Options: opts,
+		Sink: func(_ int, zo *scan.ZoneObservation, r *classify.Result) error {
+			observations = append(observations, zo)
+			results = append(results, r)
+			return nil
+		},
+	})
+	if err == nil && st.Drained {
+		err = ctx.Err() // Run passes no Drain: only a dead context stops it early
 	}
-	targets := opts.Targets
-	if targets == nil {
-		targets = world.Targets
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxZones > 0 && len(targets) > opts.MaxZones {
-		targets = targets[:opts.MaxZones]
-	}
-	scanner := NewScanner(world, opts)
-	start := time.Now()
-	observations := scanner.ScanAll(ctx, targets)
-	elapsed := time.Since(start)
-
-	classifier := classify.New(world.Now)
-	classifier.Tracer = opts.Tracer
-	results := classifier.ClassifyAll(observations)
 	return &Study{
-		World:        world,
+		World:        st.World,
 		Observations: observations,
 		Results:      results,
-		Report:       report.Build(results),
-		Elapsed:      elapsed,
+		Report:       st.Report,
+		Elapsed:      st.Elapsed,
 	}, nil
 }

@@ -15,8 +15,9 @@
 //     (mutually glue-less hosting resolved from two goroutines) and
 //     falls back to duplicated local work rather than deadlocking.
 //
-// The layer is opt-in: a Resolver with a nil Cache behaves exactly like
-// the historical per-field zoneCache/addrCache code path.
+// The layer is opt-in: a Resolver with a nil Cache is stateless, each
+// resolution chain re-walking from the roots with only its own visited
+// set as cycle guard.
 package resolver
 
 import (
@@ -165,10 +166,10 @@ func (c *Cache) NegativeLen() int {
 // A chain is one top-level resolver call tree (one Delegation, Lookup
 // or AddrsOf from outside). The chain id travels in the context so the
 // singleflight group can detect wait cycles between chains, and the
-// per-chain visited set replaces the old process-global inflight map:
-// a host being resolved twice on the SAME chain is a genuine cycle,
-// while two different chains resolving the same host should coalesce,
-// not error.
+// per-chain visited set is the cycle guard: a host being resolved twice
+// on the SAME chain is a genuine cycle, while two different chains
+// resolving the same host should coalesce (or, without a Cache, each
+// resolve on its own), not error.
 
 type chainIDKey struct{}
 type visitedKey struct{}

@@ -117,10 +117,17 @@ type gatedHandler struct {
 	started chan struct{}
 	gate    chan struct{}
 	once    sync.Once
+	// arrivals, when set, receives one value per query reaching the
+	// handler (before the gate), so a test can tell that a second
+	// chain is parked behind the gate rather than already finished.
+	arrivals chan struct{}
 }
 
 func (h *gatedHandler) HandleDNS(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	h.once.Do(func() { close(h.started) })
+	if h.arrivals != nil {
+		h.arrivals <- struct{}{}
+	}
 	select {
 	case <-h.gate:
 	case <-ctx.Done():
@@ -225,46 +232,84 @@ func TestSingleflightCoalescesConcurrentDelegations(t *testing.T) {
 }
 
 func TestConcurrentAddrsOfCoalesces(t *testing.T) {
-	r, gate := singleServerWorld(t)
-	joined := make(chan string, 8)
-	r.flight.onWait = func(key string) { joined <- key }
-	ctx := context.Background()
-
 	type res struct {
 		addrs []netip.Addr
 		err   error
 	}
-	results := make(chan res, 2)
-	go func() {
-		a, err := r.AddrsOf(ctx, "ns.root.")
-		results <- res{a, err}
-	}()
-	<-gate.started
-	go func() {
-		a, err := r.AddrsOf(ctx, "ns.root.")
-		results <- res{a, err}
-	}()
-	// Pre-fix the process-global inflight map made the second chain fail
-	// with ErrLoop; the flight group must instead let it piggyback.
-	awaitJoin(t, joined, "second chain to join the flight")
-	close(gate.gate)
-
-	for i := 0; i < 2; i++ {
-		select {
-		case got := <-results:
-			if got.err != nil {
-				t.Fatalf("AddrsOf %d: %v", i, got.err)
+	collect := func(t *testing.T, results <-chan res) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			select {
+			case got := <-results:
+				if got.err != nil {
+					t.Fatalf("AddrsOf %d: %v", i, got.err)
+				}
+				if len(got.addrs) != 1 || got.addrs[0].String() != "192.0.2.1" {
+					t.Errorf("AddrsOf %d = %v", i, got.addrs)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("concurrent AddrsOf deadlocked")
 			}
-			if len(got.addrs) != 1 || got.addrs[0].String() != "192.0.2.1" {
-				t.Errorf("AddrsOf %d = %v", i, got.addrs)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("coalesced AddrsOf deadlocked")
 		}
 	}
-	if r.Coalesced() != 1 {
-		t.Errorf("coalesced = %d, want 1", r.Coalesced())
-	}
+	ctx := context.Background()
+
+	t.Run("cached", func(t *testing.T) {
+		r, gate := singleServerWorld(t)
+		joined := make(chan string, 8)
+		r.flight.onWait = func(key string) { joined <- key }
+		results := make(chan res, 2)
+		go func() {
+			a, err := r.AddrsOf(ctx, "ns.root.")
+			results <- res{a, err}
+		}()
+		<-gate.started
+		go func() {
+			a, err := r.AddrsOf(ctx, "ns.root.")
+			results <- res{a, err}
+		}()
+		// The second chain must piggyback on the first one's flight
+		// instead of failing with ErrLoop.
+		awaitJoin(t, joined, "second chain to join the flight")
+		close(gate.gate)
+		collect(t, results)
+		if r.Coalesced() != 1 {
+			t.Errorf("coalesced = %d, want 1", r.Coalesced())
+		}
+	})
+
+	t.Run("cacheless", func(t *testing.T) {
+		r, gate := singleServerWorld(t)
+		r.Cache = nil
+		// Room for every query both chains issue (a handful each), so
+		// the handler never blocks on the notification itself.
+		gate.arrivals = make(chan struct{}, 64)
+		results := make(chan res, 2)
+		go func() {
+			a, err := r.AddrsOf(ctx, "ns.root.")
+			results <- res{a, err}
+		}()
+		<-gate.arrivals // first chain is parked behind the gate
+		go func() {
+			a, err := r.AddrsOf(ctx, "ns.root.")
+			results <- res{a, err}
+		}()
+		// Without a cache the two chains share nothing: the second must
+		// issue its own queries rather than see the first chain's host
+		// as a resolution cycle.
+		select {
+		case <-gate.arrivals:
+		case got := <-results:
+			t.Fatalf("second chain finished while the first was in flight: %v", got.err)
+		case <-time.After(30 * time.Second):
+			t.Fatal("timed out waiting for the second chain's query")
+		}
+		close(gate.gate)
+		collect(t, results)
+		if r.Coalesced() != 0 {
+			t.Errorf("coalesced = %d, want 0 without a cache", r.Coalesced())
+		}
+	})
 }
 
 // TestFlightGroupCycleFallback drives two chains into a mutual wait
@@ -350,7 +395,7 @@ func TestMisbehavingReferralsFailFast(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, cached := range []bool{false, true} {
-			mode := "legacy"
+			mode := "legacy" // no Cache: stateless resolution
 			if cached {
 				mode = "cached"
 			}

@@ -112,7 +112,7 @@ func TestDelegationLameAuthoritativeWithoutNS(t *testing.T) {
 // unreachable error, and once the servers return the cached entries
 // serve again without a fresh root walk.
 func TestCacheSurvivesServerOutage(t *testing.T) {
-	net, r, _ := miniNet(t)
+	net, r := withCache(t)
 	excom1 := netip.MustParseAddr("192.0.2.61")
 	excom2 := netip.MustParseAddr("192.0.2.62")
 

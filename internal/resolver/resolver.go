@@ -45,22 +45,21 @@ type Resolver struct {
 	// Retry, when non-nil, retries transient failures (timeouts,
 	// SERVFAIL) per server with backoff. Nil means one attempt.
 	Retry *RetryPolicy
-	// Cache, when non-nil, enables the resolver-wide caching and
-	// singleflight deduplication layer (cache.go): Delegation starts
-	// from the deepest cached ancestor instead of re-walking the root,
-	// NXDOMAIN/lame parents fail fast from the negative cache, and
-	// concurrent identical Delegation/AddrsOf/zone-server walks
-	// coalesce onto one upstream query stream. Nil keeps the historical
-	// per-map caching behaviour.
+	// Cache selects the resolver's regime. Non-nil enables the
+	// resolver-wide caching and singleflight deduplication layer
+	// (cache.go): Delegation starts from the deepest cached ancestor
+	// instead of re-walking the root, NXDOMAIN/lame parents fail fast
+	// from the negative cache, and concurrent identical
+	// Delegation/AddrsOf/zone-server walks coalesce onto one upstream
+	// query stream. Nil makes resolution stateless: every chain
+	// re-walks from the roots and shares nothing with its neighbours,
+	// so query counts depend only on (name, world) — independent of
+	// scan history and concurrency — which is what makes a streamed
+	// JSONL export byte-reproducible across runs and checkpoint
+	// resumes. The only state a stateless chain keeps is its own
+	// visited-host set (the cycle guard).
 	Cache *Cache
-	// Stateless disables the legacy per-resolver memo maps (zone
-	// servers, host addresses) and the process-global inflight guard,
-	// so every resolution chain re-walks from the roots and shares
-	// nothing with its neighbours. Query counts then depend only on
-	// (name, world) — independent of scan history and concurrency —
-	// which is what makes a streamed JSONL export byte-reproducible
-	// across runs and across checkpoint resumes. Ignored when Cache is
-	// installed (a shared cache is deliberate cross-chain state).
+	// Deprecated: no effect; a Resolver without a Cache is stateless.
 	Stateless bool
 	// Obs, when non-nil, is the resolver's instrument set (usually
 	// NewMetrics over a shared obs.Registry). Nil lazily builds one on
@@ -70,11 +69,6 @@ type Resolver struct {
 	obsOnce sync.Once
 	health  healthTracker
 	flight  flightGroup
-
-	mu        sync.RWMutex
-	zoneCache map[string][]netip.AddrPort // zone apex -> authoritative addrs
-	addrCache map[string][]netip.Addr     // hostname -> addresses
-	inflight  map[string]bool             // hostnames being resolved (cycle guard)
 }
 
 // Queries returns the number of DNS queries issued so far.
@@ -452,40 +446,23 @@ func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, name 
 }
 
 // cacheZone records the authoritative servers discovered for a real
-// zone cut. With a Cache installed the record lands in the shared
-// positive cache (visible to every Delegation walk); otherwise in the
-// resolver-local legacy map used only by lookupOnce.
+// zone cut in the shared positive cache, visible to every Delegation
+// walk. Without a Cache it does nothing.
 func (r *Resolver) cacheZone(zoneName string, servers []netip.AddrPort) {
 	if r.Cache != nil {
 		r.Cache.posStore(zoneName, posEntry{servers: servers, apex: zoneName})
-		return
 	}
-	if r.Stateless {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.zoneCache == nil {
-		r.zoneCache = make(map[string][]netip.AddrPort)
-	}
-	r.zoneCache[zoneName] = servers
 }
 
 // cachedZone returns the cached servers for zoneName plus the apex of
 // the zone they actually serve (differs from zoneName only for alias
-// entries in the shared cache).
+// entries). Without a Cache nothing is ever cached.
 func (r *Resolver) cachedZone(zoneName string) ([]netip.AddrPort, string, bool) {
-	if r.Cache != nil {
-		e, ok := r.Cache.posLookup(zoneName)
-		return e.servers, e.apex, ok
-	}
-	if r.Stateless {
+	if r.Cache == nil {
 		return nil, zoneName, false
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.zoneCache[zoneName]
-	return s, zoneName, ok
+	e, ok := r.Cache.posLookup(zoneName)
+	return e.servers, e.apex, ok
 }
 
 // Lookup iteratively resolves (name, qtype) and returns the answer
@@ -583,58 +560,20 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 // AddrsOf resolves a hostname to all of its A and AAAA addresses. It
 // refuses re-entrant resolution of a host already being resolved on
 // the same resolution chain (glue-less mutual hosting would loop
-// forever otherwise). Without a Cache the guard is a process-global
-// inflight map, which also errors on two *different* chains resolving
-// the same host concurrently; with a Cache installed those coalesce
-// onto one execution instead.
+// forever otherwise). Two different chains resolving the same host
+// concurrently never fail each other: with a Cache installed they
+// coalesce onto one execution, without one each resolves on its own.
 func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, error) {
 	host = dnswire.CanonicalName(host)
 	if r.Cache != nil {
 		return r.addrsOfCached(ctx, host)
 	}
-	if r.Stateless {
-		// Per-chain cycle guard only: the global inflight map would make
-		// two chains resolving the same host concurrently fail each
-		// other, reintroducing scheduling-dependent results.
-		ctx, visited := withVisited(ctx)
-		if visited[host] {
-			return nil, fmt.Errorf("%w: resolution cycle on %s", ErrLoop, host)
-		}
-		visited[host] = true
-		return r.resolveAddrs(ctx, host)
-	}
-	r.mu.RLock()
-	cached, ok := r.addrCache[host]
-	r.mu.RUnlock()
-	if ok {
-		return cached, nil
-	}
-	r.mu.Lock()
-	if r.inflight == nil {
-		r.inflight = make(map[string]bool)
-	}
-	if r.inflight[host] {
-		r.mu.Unlock()
+	ctx, visited := withVisited(ctx)
+	if visited[host] {
 		return nil, fmt.Errorf("%w: resolution cycle on %s", ErrLoop, host)
 	}
-	r.inflight[host] = true
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.inflight, host)
-		r.mu.Unlock()
-	}()
-	addrs, err := r.resolveAddrs(ctx, host)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.addrCache == nil {
-		r.addrCache = make(map[string][]netip.Addr)
-	}
-	r.addrCache[host] = addrs
-	r.mu.Unlock()
-	return addrs, nil
+	visited[host] = true
+	return r.resolveAddrs(ctx, host)
 }
 
 // addrsOfCached is AddrsOf behind the shared cache: hit the address

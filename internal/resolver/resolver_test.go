@@ -165,7 +165,7 @@ func TestLookupFollowsCNAMEAcrossZones(t *testing.T) {
 }
 
 func TestAddrsOfOutOfBailiwickNS(t *testing.T) {
-	_, r, _ := miniNet(t)
+	_, r := withCache(t)
 	addrs, err := r.AddrsOf(context.Background(), "ns1.example.net.")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestQueryCountingAndRateLimit(t *testing.T) {
 }
 
 func TestDelegationCacheSpeedsSecondLookup(t *testing.T) {
-	_, r, _ := miniNet(t)
+	_, r := withCache(t)
 	if _, _, err := r.Lookup(context.Background(), "www.example.com.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}

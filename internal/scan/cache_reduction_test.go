@@ -111,7 +111,7 @@ func TestCacheKeepsScanOutputsWithFewerQueries(t *testing.T) {
 	baselineObs := make([]*scan.ZoneObservation, 0, len(world.Targets))
 	var baselineQueries int64
 	for _, zoneName := range world.Targets {
-		s := core.NewScanner(world, core.Options{Seed: 3, Concurrency: 1, DisableCache: true})
+		s := core.NewScanner(world, core.Options{Seed: 3, Concurrency: 1, Stateless: true})
 		obs := s.ScanZone(ctx, zoneName)
 		baselineQueries += obs.Queries
 		baselineObs = append(baselineObs, obs)

@@ -167,15 +167,15 @@ func TestChaosCacheInvariant(t *testing.T) {
 				ChaosSeed:     42,
 			}
 			cached := chaosRunOpts(t, opts)
-			opts.DisableCache = true
-			legacy := chaosRunOpts(t, opts)
-			if cached.artefacts != legacy.artefacts {
+			opts.Stateless = true
+			stateless := chaosRunOpts(t, opts)
+			if cached.artefacts != stateless.artefacts {
 				t.Errorf("cache changed the classifications\n%s",
-					firstDiff(legacy.artefacts, cached.artefacts))
+					firstDiff(stateless.artefacts, cached.artefacts))
 			}
-			if cached.queries >= legacy.queries {
+			if cached.queries >= stateless.queries {
 				t.Errorf("cached scan used %d queries vs %d without the cache — cache not biting",
-					cached.queries, legacy.queries)
+					cached.queries, stateless.queries)
 			}
 		})
 	}

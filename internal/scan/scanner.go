@@ -45,8 +45,8 @@ type Config struct {
 	// Seed makes sampling decisions deterministic.
 	Seed int64
 	// Stateless scopes the chain-validation memo to a single zone scan
-	// instead of the whole Scanner (pair it with a Stateless Resolver).
-	// Each zone's observation — query counts included — then depends
+	// instead of the whole Scanner (pair it with a Resolver without a
+	// Cache). Each zone's observation — query counts included — then depends
 	// only on (zone, world, Seed), never on which zones were scanned
 	// before it or concurrently, making a streamed export byte-stable
 	// across runs and checkpoint resumes.
