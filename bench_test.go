@@ -184,7 +184,9 @@ func BenchmarkScanThroughput(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanner.ScanAll(ctx, targets)
+		if _, err := scanner.ScanAll(ctx, targets); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
@@ -247,7 +249,9 @@ func BenchmarkScanLossy(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanner.ScanAll(ctx, targets)
+		if _, err := scanner.ScanAll(ctx, targets); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
@@ -303,8 +307,12 @@ func BenchmarkScanCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		scanner := core.NewScanner(world, core.Options{Seed: 6, Concurrency: 16})
 		cachedScanQ = 0
-		for _, obs := range scanner.ScanAll(ctx, targets) {
-			cachedScanQ += obs.Queries
+		obs, err := scanner.ScanAll(ctx, targets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, zo := range obs {
+			cachedScanQ += zo.Queries
 		}
 	}
 	b.StopTimer()
@@ -610,7 +618,9 @@ func BenchmarkScanRateLimited(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanner.ScanAll(ctx, targets)
+		if _, err := scanner.ScanAll(ctx, targets); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

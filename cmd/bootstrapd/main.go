@@ -96,7 +96,10 @@ func main() {
 
 	// Pass 3: re-measure. The bootstrapped islands are now secured.
 	scanner2 := core.NewScanner(world, core.Options{Seed: *seed})
-	obs := scanner2.ScanAll(ctx, world.Targets)
+	obs, err := scanner2.ScanAll(ctx, world.Targets)
+	if err != nil {
+		fatal(err)
+	}
 	results := classify.New(world.Now).ClassifyAll(obs)
 	after := report.Build(results)
 	fmt.Println("\nafter bootstrapping:")

@@ -75,6 +75,28 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// validate refuses numeric flags outside their meaningful range; the
+// error names the offending flag first.
+func validate(concurrency int, zipfS, tcpFrac, doFrac, nxFrac float64, duration, timeout time.Duration) error {
+	switch {
+	case !(tcpFrac >= 0 && tcpFrac <= 1):
+		return fmt.Errorf("-tcp-frac %v: must be a fraction in [0, 1]", tcpFrac)
+	case !(doFrac >= 0 && doFrac <= 1):
+		return fmt.Errorf("-do-frac %v: must be a fraction in [0, 1]", doFrac)
+	case !(nxFrac >= 0 && nxFrac <= 1):
+		return fmt.Errorf("-nx-frac %v: must be a fraction in [0, 1]", nxFrac)
+	case concurrency < 1:
+		return fmt.Errorf("-concurrency %d: must be at least 1", concurrency)
+	case !(zipfS > 1):
+		return fmt.Errorf("-zipf-s %v: must be > 1", zipfS)
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: must be > 0", duration)
+	case timeout <= 0:
+		return fmt.Errorf("-timeout %v: must be > 0", timeout)
+	}
+	return nil
+}
+
 func run(args []string) int {
 	fs := flag.NewFlagSet("dnsblast", flag.ExitOnError)
 	var (
@@ -108,8 +130,8 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "dnsblast: -server and -zone are required")
 		return 2
 	}
-	if *zipfS <= 1 {
-		fmt.Fprintln(os.Stderr, "dnsblast: -zipf-s must be > 1")
+	if err := validate(*concurrency, *zipfS, *tcpFrac, *doFrac, *nxFrac, *duration, *timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "dnsblast:", err)
 		return 2
 	}
 	names, origin, err := namesFromZone(*zoneFile)

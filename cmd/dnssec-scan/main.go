@@ -86,21 +86,9 @@ type runConfig struct {
 	ZoneOrigin   string  `json:"zonefile_origin,omitempty"`
 }
 
-// validate refuses numeric flags outside their meaningful range instead
-// of letting the pipeline silently clamp or default them.
-func validate(loss float64, retries int, rate float64, concurrency int) error {
-	switch {
-	case !(loss >= 0 && loss <= 1):
-		return fmt.Errorf("-loss %v: must be a probability in [0, 1]", loss)
-	case retries < 1:
-		return fmt.Errorf("-retries %d: must be at least 1 (1 = no retries)", retries)
-	case !(rate >= 0):
-		return fmt.Errorf("-rate %v: must be >= 0 (0 = unlimited)", rate)
-	case concurrency < 1:
-		return fmt.Errorf("-concurrency %d: must be at least 1", concurrency)
-	}
-	return nil
-}
+// validate is the scan-flag check scanctl also applies to the flags it
+// passes through to its workers.
+var validate = core.ValidateScanFlags
 
 func fatal(prefix string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)

@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"dnssecboot/internal/core"
 	"dnssecboot/internal/obs"
 	"dnssecboot/internal/shard"
 )
@@ -91,18 +92,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-shards must be at least 1")
 		os.Exit(2)
 	}
+	perWorker := *concurrency
+	if perWorker == 0 {
+		if perWorker = runtime.NumCPU() / *shards; perWorker < 1 {
+			perWorker = 1
+		}
+	}
+	// Refuse bad flags here: a worker would exit 2 on them, and the
+	// coordinator would restart it until it gave up.
+	err := core.ValidateScanFlags(*loss, *retries, *rate, perWorker)
+	switch {
+	case *maxRestarts < 0:
+		err = fmt.Errorf("-max-restarts %d: must be >= 0", *maxRestarts)
+	case *cpEvery < 1:
+		err = fmt.Errorf("-checkpoint-every %d: must be at least 1", *cpEvery)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scanctl:", err)
+		os.Exit(2)
+	}
 	bin, err := findWorker(*worker)
 	if err != nil {
 		fatal("worker", err)
 	}
 	if !*stateless {
 		fmt.Fprintln(os.Stderr, "warning: without -stateless the merged export depends on shard layout (per-worker caches); reports stay valid, byte-equality does not")
-	}
-	perWorker := *concurrency
-	if perWorker <= 0 {
-		if perWorker = runtime.NumCPU() / *shards; perWorker < 1 {
-			perWorker = 1
-		}
 	}
 
 	workerArgs := []string{

@@ -65,7 +65,6 @@ type Registry struct {
 // If all hold, the DS set is installed into the parent and the DS
 // RRset re-signed.
 func (r *Registry) Bootstrap(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	obs := r.Scanner.ScanZone(ctx, child)
 	if obs.ResolveErr != "" {
@@ -189,7 +188,6 @@ func (r *Registry) install(d *Decision) error {
 // child publishes the DELETE sentinel consistently, the registry
 // removes its DS records (turning DNSSEC off for the delegation).
 func (r *Registry) ProcessDelete(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	obs := r.Scanner.ScanZone(ctx, child)
 	if obs.ResolveErr != "" {
@@ -226,7 +224,6 @@ func (r *Registry) ProcessDelete(ctx context.Context, child string) (*Decision, 
 // delegation: the CDS must be consistent, signed by a key chained from
 // the *current* DS set, and the zone must validate under the new set.
 func (r *Registry) Rollover(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	obs := r.Scanner.ScanZone(ctx, child)
 	if obs.ResolveErr != "" {

@@ -24,7 +24,6 @@ const (
 // bitmap (NS, and A/AAAA glue) are then copied from the child apex to
 // the parent zone.
 func (r *Registry) ProcessCSYNC(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	obs := r.Scanner.ScanZone(ctx, child)
 	if obs.ResolveErr != "" {
@@ -121,11 +120,11 @@ func (r *Registry) ProcessCSYNC(ctx context.Context, child string) (*Decision, e
 		r.Parent.RemoveSet(child, dnswire.TypeNS)
 		hosts := map[string]bool{}
 		for _, rr := range childNS {
-			if ns, ok := rr.Data.(*dnswire.NS); ok && dnswire.CanonicalName(rr.Name) == child {
+			if ns, ok := rr.Data.(*dnswire.NS); ok && rr.Name == child {
 				if err := r.Parent.Add(dnswire.RR{Name: child, Class: rr.Class, TTL: rr.TTL, Data: ns}); err != nil {
 					return d, err
 				}
-				hosts[dnswire.CanonicalName(ns.Target)] = true
+				hosts[ns.Target] = true
 			}
 		}
 		if doA || doAAAA {

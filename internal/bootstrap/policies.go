@@ -94,7 +94,6 @@ func (p *AcceptAfterDelay) Name() string { return "accept-after-delay" }
 
 // Evaluate implements Policy.
 func (p *AcceptAfterDelay) Evaluate(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	obs, cds := observeCDS(ctx, p.Registry, child, d)
 	if len(d.Reasons) > 0 {
@@ -160,7 +159,6 @@ func ChallengeName(child string) string {
 
 // Evaluate implements Policy.
 func (p *AcceptWithChallenge) Evaluate(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	obs, cds := observeCDS(ctx, p.Registry, child, d)
 	if len(d.Reasons) > 0 {
@@ -203,7 +201,6 @@ func (p *AcceptFromInception) Name() string { return "accept-from-inception" }
 
 // Evaluate implements Policy.
 func (p *AcceptFromInception) Evaluate(ctx context.Context, child string) (*Decision, error) {
-	child = dnswire.CanonicalName(child)
 	d := &Decision{Child: child}
 	reg, ok := p.RegisteredAt(child)
 	if !ok {

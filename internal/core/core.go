@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -91,6 +92,23 @@ type Options struct {
 	ProgressWriter io.Writer
 	// ProgressInterval is the pause between progress lines (default 2s).
 	ProgressInterval time.Duration
+}
+
+// ValidateScanFlags refuses scan flags outside their meaningful range
+// with an error naming the flag first. dnssec-scan checks its flags with
+// it, scanctl the ones it passes through to its workers.
+func ValidateScanFlags(loss float64, retries int, rate float64, concurrency int) error {
+	switch {
+	case !(loss >= 0 && loss <= 1):
+		return fmt.Errorf("-loss %v: must be a probability in [0, 1]", loss)
+	case retries < 1:
+		return fmt.Errorf("-retries %d: must be at least 1 (1 = no retries)", retries)
+	case !(rate >= 0):
+		return fmt.Errorf("-rate %v: must be >= 0 (0 = unlimited)", rate)
+	case concurrency < 1:
+		return fmt.Errorf("-concurrency %d: must be at least 1", concurrency)
+	}
+	return nil
 }
 
 // Study is the outcome of a run.

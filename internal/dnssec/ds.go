@@ -76,7 +76,6 @@ func KeyForDS(owner string, ds *dnswire.DS, keys []dnswire.RR) *dnswire.RR {
 // RRset must carry a valid RRSIG made by (one of) the matched key(s).
 // This is the core parent→child step of chain validation.
 func VerifyChainLink(owner string, dsSet []dnswire.RR, keySet []dnswire.RR, sigs []dnswire.RR, now time.Time) error {
-	owner = dnswire.CanonicalName(owner)
 	var anchors []dnswire.RR
 	for _, rr := range dsSet {
 		ds, ok := rr.Data.(*dnswire.DS)
@@ -143,7 +142,6 @@ func IsDeleteSet(rrs []dnswire.RR) bool {
 // the zone, so that installing the resulting DS set cannot break the
 // delegation. It returns the subset of keys referenced.
 func CDSMatchesDNSKEYs(owner string, cds []dnswire.RR, keys []dnswire.RR) (matched []dnswire.RR, ok bool) {
-	owner = dnswire.CanonicalName(owner)
 	for _, rr := range cds {
 		var ds *dnswire.DS
 		switch d := rr.Data.(type) {
@@ -178,7 +176,7 @@ func DSSetFromCDS(cds []dnswire.RR) []dnswire.RR {
 		dup := c.DS
 		dup.Digest = append([]byte(nil), c.Digest...)
 		out = append(out, dnswire.RR{
-			Name:  dnswire.CanonicalName(rr.Name),
+			Name:  rr.Name,
 			Class: rr.Class,
 			TTL:   rr.TTL,
 			Data:  &dup,

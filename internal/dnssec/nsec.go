@@ -16,9 +16,7 @@ func NSECCoversName(rr dnswire.RR, name string) bool {
 	if !ok {
 		return false
 	}
-	owner := dnswire.CanonicalName(rr.Name)
-	next := dnswire.CanonicalName(nsec.NextDomain)
-	name = dnswire.CanonicalName(name)
+	owner, next := rr.Name, nsec.NextDomain
 	if name == owner || name == next {
 		return false
 	}
@@ -36,7 +34,7 @@ func NSECProvesNoData(rr dnswire.RR, name string, typ dnswire.Type) bool {
 	if !ok {
 		return false
 	}
-	if dnswire.CanonicalName(rr.Name) != dnswire.CanonicalName(name) {
+	if rr.Name != name {
 		return false
 	}
 	for _, t := range nsec.Types {

@@ -78,11 +78,8 @@ func nsec3Params(rr dnswire.RR) (*dnswire.NSEC3, bool) {
 // ownerHashLabel extracts the base32hex hash label from an NSEC3
 // record's owner name.
 func ownerHashLabel(rr dnswire.RR) string {
-	labels := dnswire.SplitLabels(dnswire.CanonicalName(rr.Name))
-	if len(labels) == 0 {
-		return ""
-	}
-	return labels[0]
+	label, _, _ := strings.Cut(rr.Name, ".")
+	return label
 }
 
 // NSEC3Matches reports whether rr is the NSEC3 record of name (its
@@ -142,7 +139,6 @@ func NSEC3ProvesNoData(rr dnswire.RR, name string, typ dnswire.Type) bool {
 // NXDOMAIN shape (closest-encloser match plus next-closer cover,
 // RFC 5155 §8.4/RFC 7129).
 func CheckDenialNSEC3(authority []dnswire.RR, name string, typ dnswire.Type) bool {
-	name = dnswire.CanonicalName(name)
 	var nsec3s []dnswire.RR
 	for _, rr := range authority {
 		if rr.Type() == dnswire.TypeNSEC3 {

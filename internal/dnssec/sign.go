@@ -28,10 +28,10 @@ func SignRRset(rrset []dnswire.RR, key *Key, opts SignOptions) (dnswire.RR, erro
 	if len(rrset) == 0 {
 		return dnswire.RR{}, errors.New("dnssec: empty RRset")
 	}
-	owner := dnswire.CanonicalName(rrset[0].Name)
+	owner := rrset[0].Name
 	typ := rrset[0].Type()
 	for _, rr := range rrset[1:] {
-		if dnswire.CanonicalName(rr.Name) != owner || rr.Type() != typ {
+		if rr.Name != owner || rr.Type() != typ {
 			return dnswire.RR{}, errors.New("dnssec: mixed RRset")
 		}
 	}
@@ -44,7 +44,7 @@ func SignRRset(rrset []dnswire.RR, key *Key, opts SignOptions) (dnswire.RR, erro
 		Expiration:  uint32(opts.Expiration.Unix()),
 		Inception:   uint32(opts.Inception.Unix()),
 		KeyTag:      key.KeyTag(),
-		SignerName:  dnswire.CanonicalName(opts.SignerName),
+		SignerName:  opts.SignerName,
 	}
 	data, err := signedData(sig, rrset)
 	if err != nil {
@@ -89,7 +89,7 @@ func signedData(sig *dnswire.RRSIG, rrset []dnswire.RR) ([]byte, error) {
 		return nil, err
 	}
 	for _, rr := range sorted {
-		owner := signedOwnerName(dnswire.CanonicalName(rr.Name), sig.Labels)
+		owner := signedOwnerName(rr.Name, sig.Labels)
 		nw, err := dnswire.CanonicalNameWire(owner)
 		if err != nil {
 			return nil, err
@@ -121,7 +121,7 @@ func signedOwnerName(owner string, sigLabels uint8) string {
 	for _, l := range keep {
 		name += "." + l
 	}
-	return dnswire.CanonicalName(name)
+	return name + "."
 }
 
 func signBytes(key *Key, data []byte) ([]byte, error) {

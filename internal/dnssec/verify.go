@@ -46,7 +46,7 @@ func VerifySig(rrset []dnswire.RR, sigRR dnswire.RR, keyRR dnswire.RR, now time.
 	if KeyTag(key) != sig.KeyTag {
 		return fmt.Errorf("%w: tag %d != %d", ErrNoMatchingKey, KeyTag(key), sig.KeyTag)
 	}
-	if dnswire.CanonicalName(keyRR.Name) != dnswire.CanonicalName(sig.SignerName) {
+	if keyRR.Name != sig.SignerName {
 		return fmt.Errorf("dnssec: signer %s is not key owner %s", sig.SignerName, keyRR.Name)
 	}
 	if !dnswire.IsSubdomain(rrset[0].Name, sig.SignerName) {
@@ -152,11 +152,10 @@ func VerifyRRset(rrset []dnswire.RR, sigs []dnswire.RR, keys []dnswire.RR, now t
 // SigsCovering selects the RRSIG records in sigs that cover typ for the
 // given owner name.
 func SigsCovering(sigs []dnswire.RR, owner string, typ dnswire.Type) []dnswire.RR {
-	owner = dnswire.CanonicalName(owner)
 	var out []dnswire.RR
 	for _, rr := range sigs {
 		sig, ok := rr.Data.(*dnswire.RRSIG)
-		if ok && sig.TypeCovered == typ && dnswire.CanonicalName(rr.Name) == owner {
+		if ok && sig.TypeCovered == typ && rr.Name == owner {
 			out = append(out, rr)
 		}
 	}

@@ -69,3 +69,29 @@ func TestAppendRDataWireAllocFree(t *testing.T) {
 		t.Errorf("AppendRDataWire allocates %.2f/op in steady state, want 0", avg)
 	}
 }
+
+// TestCanonicalNameLessAllocFree pins canonical ordering — run per
+// comparison when a zone sorts its names and the server binary-searches
+// for a covering NSEC — at zero allocations.
+func TestCanonicalNameLessAllocFree(t *testing.T) {
+	pairs := [][2]string{
+		{"a.example.", "z.example."},
+		{"yljkjljk.a.example.", "z.a.example."},
+		{"example.", "example."},
+		{".", "_dsboot.example.co.uk._signal.ns1.example.net."},
+	}
+	var less int
+	avg := testing.AllocsPerRun(200, func() {
+		for _, p := range pairs {
+			if CanonicalNameLess(p[0], p[1]) {
+				less++
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("CanonicalNameLess allocates %.2f per %d comparisons, want 0", avg, len(pairs))
+	}
+	if less == 0 {
+		t.Error("no pair compared less")
+	}
+}

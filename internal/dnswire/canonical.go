@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"sort"
+	"strings"
 )
 
 // Canonical forms per RFC 4034 §6, used when constructing the data that
@@ -47,20 +48,24 @@ func SortCanonical(rrs []RR) error {
 	return nil
 }
 
-// CanonicalNameLess compares two domain names in DNSSEC canonical
-// ordering (RFC 4034 §6.1): by reversed label sequence, each label
-// compared as a lowercase octet string.
+// CanonicalNameLess compares two canonical domain names in DNSSEC
+// canonical ordering (RFC 4034 §6.1): by reversed label sequence, each
+// label compared as an octet string. It walks both names from the right
+// in place, without allocating.
 func CanonicalNameLess(a, b string) bool {
-	la, lb := SplitLabels(CanonicalName(a)), SplitLabels(CanonicalName(b))
-	i, j := len(la)-1, len(lb)-1
-	for i >= 0 && j >= 0 {
-		if la[i] != lb[j] {
-			return la[i] < lb[j]
+	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	// moreA/moreB: labels remain; an empty remainder after a dot is
+	// still one (empty) label.
+	moreA, moreB := a != "", b != ""
+	for moreA && moreB {
+		i, j := strings.LastIndexByte(a, '.'), strings.LastIndexByte(b, '.')
+		if la, lb := a[i+1:], b[j+1:]; la != lb {
+			return la < lb
 		}
-		i--
-		j--
+		moreA, moreB = i >= 0, j >= 0
+		a, b = a[:max(i, 0)], b[:max(j, 0)]
 	}
-	return i < j
+	return moreB // b has labels left: a is a proper suffix of b
 }
 
 // RRsetKey identifies an RRset within a zone or message.
@@ -72,7 +77,7 @@ type RRsetKey struct {
 
 // Key returns the RRset key for rr.
 func (r RR) Key() RRsetKey {
-	return RRsetKey{Name: CanonicalName(r.Name), Type: r.Type(), Class: r.Class}
+	return RRsetKey{Name: r.Name, Type: r.Type(), Class: r.Class}
 }
 
 // GroupRRsets partitions records into RRsets keyed by (owner, type,

@@ -25,7 +25,7 @@ func (r RR) Type() Type {
 // String renders the record in master-file presentation form.
 func (r RR) String() string {
 	return fmt.Sprintf("%s\t%d\t%s\t%s\t%s",
-		CanonicalName(r.Name), r.TTL, r.Class, r.Type(), r.Data.String())
+		r.Name, r.TTL, r.Class, r.Type(), r.Data.String())
 }
 
 // Equal reports whether two RRs have the same owner, class, type and
@@ -66,7 +66,7 @@ type Question struct {
 
 // String renders the question in dig-like form.
 func (q Question) String() string {
-	return fmt.Sprintf("%s %s %s", CanonicalName(q.Name), q.Class, q.Type)
+	return fmt.Sprintf("%s %s %s", q.Name, q.Class, q.Type)
 }
 
 // Message is a DNS message (RFC 1035 §4).
@@ -418,7 +418,7 @@ func unpackRR(p *parser, reuse RData) (rr RR, extRcode uint8, hasExt bool, err e
 // question section and the RD bit clear (iterative-resolver style).
 func NewQuery(id uint16, name string, t Type) *Message {
 	m := &Message{}
-	m.InitQuery(id, name, t)
+	m.InitQuery(id, CanonicalName(name), t)
 	return m
 }
 
@@ -427,7 +427,8 @@ func NewQuery(id uint16, name string, t Type) *Message {
 // are emptied; the additional section is intentionally retained so that
 // a previously attached OPT record can be updated in place by SetEDNS —
 // callers reusing a query message across attempts must either call
-// SetEDNS after InitQuery or clear Additional themselves.
+// SetEDNS after InitQuery or clear Additional themselves. name must be
+// canonical; NewQuery normalises caller text.
 func (m *Message) InitQuery(id uint16, name string, t Type) {
 	m.ID = id
 	m.Response = false
@@ -441,7 +442,7 @@ func (m *Message) InitQuery(id uint16, name string, t Type) {
 	m.Rcode = 0
 	m.TrailingBytes = 0
 	m.Question = append(m.Question[:0],
-		Question{Name: CanonicalName(name), Type: t, Class: ClassIN})
+		Question{Name: name, Type: t, Class: ClassIN})
 	m.Answer = m.Answer[:0]
 	m.Authority = m.Authority[:0]
 }

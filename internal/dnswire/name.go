@@ -25,6 +25,19 @@ const (
 
 // CanonicalName lowercases s and ensures it is fully qualified. The
 // empty string and "." both normalise to the root ".".
+//
+// Canonical form is set once, where a name enters the program; past
+// these boundaries names are compared byte for byte, never normalised:
+//
+//   - wire decoding, and the octets packName emits (so CanonicalNameWire,
+//     the RFC 4034 §6.2 signing input and NSEC3Hash are lowercase);
+//   - the zone parser (origins, $ORIGIN, owner and RDATA names), zone.New;
+//   - ingest's origin and $ORIGIN, PSL rules and RegistrableDomain, the
+//     operator suffix table and OperatorOfHost, the ecosystem generator;
+//   - constructors taking caller text: NewQuery, NewNS, NewCNAME, NewDNAME;
+//   - case-insensitive contracts: IsSubdomain, RR.Equal, RRsetEqual,
+//     MX.String, zone.Zone.RRset (on a miss), ZoneObservation's
+//     NSSetsDiffer and AllNSHosts, and the scanner's intermediateNames.
 func CanonicalName(s string) string {
 	if s == "" || s == "." {
 		return "."
@@ -58,10 +71,6 @@ func CountLabels(name string) int {
 // Parent returns the name with its leftmost label removed; the parent of
 // the root is the root.
 func Parent(name string) string {
-	name = CanonicalName(name)
-	if name == "." {
-		return "."
-	}
 	i := strings.IndexByte(name, '.')
 	if i < 0 || i == len(name)-1 {
 		return "."
@@ -82,43 +91,38 @@ func IsSubdomain(child, parent string) bool {
 	return strings.HasSuffix(child, "."+parent)
 }
 
-// Join prepends labels to a name: Join("_dsboot", "example.com.")
+// Join prepends a label to a name: Join("_dsboot", "example.com.")
 // yields "_dsboot.example.com.".
 func Join(prefix, name string) string {
-	name = CanonicalName(name)
 	if name == "." {
-		return CanonicalName(prefix)
+		return prefix + "."
 	}
-	return CanonicalName(prefix + "." + name)
+	return prefix + "." + name
 }
 
 // NameWireLength returns the encoded (uncompressed) length of name in
 // octets, and whether the name is valid. It walks the labels in place
 // (no splitting): this runs once per packed name, so it must not
-// allocate.
+// allocate. A missing trailing dot is tolerated.
 func NameWireLength(name string) (int, error) {
-	name = CanonicalName(name)
 	if name == "." {
 		return 1, nil
 	}
 	n := 1 // terminal root byte
-	labelLen := 0
-	for i := 0; i < len(name); i++ {
-		if name[i] != '.' {
-			labelLen++
-			continue
+	for name != "" {
+		label := name
+		name = ""
+		if i := strings.IndexByte(label, '.'); i >= 0 {
+			label, name = label[:i], label[i+1:]
 		}
-		if labelLen == 0 {
+		if label == "" {
 			return 0, ErrEmptyLabel
 		}
-		if labelLen > maxLabelLen {
+		if len(label) > maxLabelLen {
 			return 0, ErrLabelTooLong
 		}
-		n += 1 + labelLen
-		labelLen = 0
+		n += 1 + len(label)
 	}
-	// CanonicalName guarantees a trailing dot, so the last label was
-	// flushed by the loop.
 	if n > maxNameWireLen {
 		return 0, ErrNameTooLong
 	}
@@ -128,7 +132,8 @@ func NameWireLength(name string) (int, error) {
 // packName appends the wire encoding of name to buf. If cmap is non-nil,
 // compression pointers are emitted for suffixes already present in the
 // message, and new suffixes (at offsets representable in 14 bits) are
-// registered. Names are packed in their canonical (lowercase) form.
+// registered. The emitted octets are lowercase whatever the case of
+// name, so the uncompressed form is the RFC 4034 §6.2 canonical one.
 func packName(buf []byte, name string, cmap map[string]int) ([]byte, error) {
 	return packNameOffset(buf, 0, name, cmap)
 }
@@ -137,11 +142,10 @@ func packName(buf []byte, name string, cmap map[string]int) ([]byte, error) {
 // compression offsets are registered and emitted relative to base, so a
 // message can be appended to a buffer that already holds other data.
 func packNameOffset(buf []byte, base int, name string, cmap map[string]int) ([]byte, error) {
-	name = CanonicalName(name)
 	if _, err := NameWireLength(name); err != nil {
 		return nil, err
 	}
-	for name != "." {
+	for name != "" && name != "." {
 		if cmap != nil {
 			if off, ok := cmap[name]; ok {
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
@@ -151,14 +155,18 @@ func packNameOffset(buf []byte, base int, name string, cmap map[string]int) ([]b
 			}
 		}
 		label := name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			label, name = name[:i], name[i+1:]
-		}
-		if name == "" {
-			name = "."
+		name = ""
+		if i := strings.IndexByte(label, '.'); i >= 0 {
+			label, name = label[:i], label[i+1:]
 		}
 		buf = append(buf, byte(len(label)))
+		start := len(buf)
 		buf = append(buf, label...)
+		for i := start; i < len(buf); i++ {
+			if c := buf[i]; c >= 'A' && c <= 'Z' {
+				buf[i] = c + 'a' - 'A'
+			}
+		}
 	}
 	return append(buf, 0), nil
 }

@@ -191,3 +191,52 @@ func bytesToName(b []byte) string {
 	}
 	return CanonicalName(name)
 }
+
+// canonicalNameLessRef is the label-splitting implementation of RFC 4034
+// §6.1 ordering that CanonicalNameLess replaced; it is kept as the
+// reference the in-place comparison must agree with.
+func canonicalNameLessRef(a, b string) bool {
+	la, lb := SplitLabels(CanonicalName(a)), SplitLabels(CanonicalName(b))
+	i, j := len(la)-1, len(lb)-1
+	for i >= 0 && j >= 0 {
+		if la[i] != lb[j] {
+			return la[i] < lb[j]
+		}
+		i--
+		j--
+	}
+	return i < j
+}
+
+func TestQuickCanonicalNameLessMatchesReference(t *testing.T) {
+	// A four-symbol alphabet makes equal labels, shared suffixes, empty
+	// labels (doubled or leading dots) and prefix labels ("a" < "ab")
+	// common, so the right-to-left walk meets every branch.
+	name := func(b []byte) string {
+		out := make([]byte, len(b))
+		for i, c := range b {
+			out[i] = "ab.-"[c%4]
+		}
+		return string(out)
+	}
+	f := func(a, b, suffix []byte, fqdnA, fqdnB bool) bool {
+		na, nb := name(a), name(b)
+		if s := name(suffix); s != "" {
+			na, nb = na+"."+s, nb+"."+s
+		}
+		if fqdnA {
+			na += "."
+		}
+		if fqdnB {
+			nb += "."
+		}
+		got, want := CanonicalNameLess(na, nb), canonicalNameLessRef(na, nb)
+		if got != want {
+			t.Logf("CanonicalNameLess(%q, %q) = %v, reference %v", na, nb, got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}

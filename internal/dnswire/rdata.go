@@ -142,7 +142,7 @@ func (s *singleName) unpack(p *parser, _ int) error {
 	return nil
 }
 
-func (s *singleName) String() string { return CanonicalName(s.Target) }
+func (s *singleName) String() string { return s.Target }
 
 // NS is a nameserver record.
 type NS struct{ singleName }
@@ -210,7 +210,7 @@ func (s *SOA) unpack(p *parser, _ int) error {
 
 func (s *SOA) String() string {
 	return fmt.Sprintf("%s %s %d %d %d %d %d",
-		CanonicalName(s.MName), CanonicalName(s.RName),
+		s.MName, s.RName,
 		s.Serial, s.Refresh, s.Retry, s.Expire, s.Minimum)
 }
 
@@ -321,7 +321,7 @@ func (s *SRV) unpack(p *parser, _ int) error {
 }
 
 func (s *SRV) String() string {
-	return fmt.Sprintf("%d %d %d %s", s.Priority, s.Weight, s.Port, CanonicalName(s.Target))
+	return fmt.Sprintf("%d %d %d %s", s.Priority, s.Weight, s.Port, s.Target)
 }
 
 // DS is a delegation-signer record (RFC 4034 §5).
@@ -491,7 +491,7 @@ func (r *RRSIG) unpack(p *parser, rdlen int) error {
 func (r *RRSIG) String() string {
 	return fmt.Sprintf("%s %d %d %d %d %d %d %s %s",
 		r.TypeCovered, r.Algorithm, r.Labels, r.OrigTTL,
-		r.Expiration, r.Inception, r.KeyTag, CanonicalName(r.SignerName),
+		r.Expiration, r.Inception, r.KeyTag, r.SignerName,
 		base64.StdEncoding.EncodeToString(r.Signature))
 }
 
@@ -524,7 +524,7 @@ func (n *NSEC) unpack(p *parser, rdlen int) error {
 }
 
 func (n *NSEC) String() string {
-	parts := []string{CanonicalName(n.NextDomain)}
+	parts := []string{n.NextDomain}
 	for _, t := range n.Types {
 		parts = append(parts, t.String())
 	}

@@ -660,7 +660,7 @@ func (e *Ecosystem) publishSignals(op *opInfra, z *zone.Zone, spec ZoneSpec, chi
 		hosts = childNS[:1]
 	}
 	for _, h := range hosts {
-		sz := op.signalZones[dnswire.CanonicalName(h)]
+		sz := op.signalZones[h]
 		if sz == nil {
 			continue // not this operator's host (multi-operator, typo NS)
 		}

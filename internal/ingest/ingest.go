@@ -177,26 +177,21 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		src = zr
 	}
 
+	origin := dnswire.CanonicalName(cfg.Origin) // "" is the root
 	asm := &assembler{
 		lr:     &lineReader{br: bufio.NewReaderSize(src, 64*1024), max: maxLine},
-		origin: ".",
+		origin: origin,
 		ttl:    3600,
 		max:    maxLine,
 	}
-	if cfg.Origin != "" {
-		asm.origin = dnswire.CanonicalName(cfg.Origin)
-	}
 
 	g := &ingester{
-		cfg:   cfg,
-		psl:   list,
-		apex:  ".",
-		seen:  make(map[string]bool),
-		stats: Stats{Gzip: isGzip, Skipped: make(map[string]int)},
-	}
-	if cfg.Origin != "" {
-		g.apex = dnswire.CanonicalName(cfg.Origin)
-		g.apexKnown = true
+		cfg:       cfg,
+		psl:       list,
+		apex:      origin,
+		apexKnown: cfg.Origin != "",
+		seen:      make(map[string]bool),
+		stats:     Stats{Gzip: isGzip, Skipped: make(map[string]int)},
 	}
 
 	// ictx stops the producer when the reducer aborts (strict-mode

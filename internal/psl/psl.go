@@ -49,14 +49,14 @@ func ParseString(text string) (*List, error) {
 
 // AddRule inserts one PSL rule in its textual form.
 func (l *List) AddRule(rule string) {
+	m := l.rules
 	switch {
 	case strings.HasPrefix(rule, "!"):
-		l.exceptions[dnswire.CanonicalName(rule[1:])] = true
+		m, rule = l.exceptions, rule[1:]
 	case strings.HasPrefix(rule, "*."):
-		l.wildcards[dnswire.CanonicalName(rule[2:])] = true
-	default:
-		l.rules[dnswire.CanonicalName(rule)] = true
+		m, rule = l.wildcards, rule[2:]
 	}
+	m[dnswire.CanonicalName(rule)] = true
 }
 
 // Default returns the suffix set used by the synthetic ecosystem: the
@@ -93,12 +93,12 @@ func hasEmptyLabel(labels []string) bool {
 	return false
 }
 
-// PublicSuffix returns the longest matching public suffix of name
-// under the PSL algorithm. If no rule matches, the rightmost label is
-// the suffix (the implicit "*" rule). Malformed names (empty labels
-// from doubled or leading dots) have no suffix: the root is returned.
+// PublicSuffix returns the longest matching public suffix of the
+// canonical name under the PSL algorithm. If no rule matches, the
+// rightmost label is the suffix (the implicit "*" rule). Malformed
+// names (empty labels from doubled or leading dots) have no suffix: the
+// root is returned.
 func (l *List) PublicSuffix(name string) string {
-	name = dnswire.CanonicalName(name)
 	labels := dnswire.SplitLabels(name)
 	if len(labels) == 0 || hasEmptyLabel(labels) {
 		return "."
@@ -154,14 +154,16 @@ func (l *List) RegistrableDomain(name string) (string, bool) {
 	return strings.Join(labels[len(labels)-sufLabels-1:], ".") + ".", true
 }
 
-// IsRegistrable reports whether name is exactly a registrable domain
-// (one label below a public suffix) — the paper's selection criterion.
+// IsRegistrable reports whether the canonical name is exactly a
+// registrable domain (one label below a public suffix) — the paper's
+// selection criterion.
 func (l *List) IsRegistrable(name string) bool {
 	reg, ok := l.RegistrableDomain(name)
-	return ok && reg == dnswire.CanonicalName(name)
+	return ok && reg == name
 }
 
-// IsPublicSuffix reports whether name matches a suffix rule exactly.
+// IsPublicSuffix reports whether the canonical name matches a suffix
+// rule exactly.
 func (l *List) IsPublicSuffix(name string) bool {
-	return l.PublicSuffix(name) == dnswire.CanonicalName(name)
+	return l.PublicSuffix(name) == name
 }

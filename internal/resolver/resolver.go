@@ -158,7 +158,6 @@ func (d *Delegation) NSHosts() []string {
 // TLD, not once per target), known-dead names fail fast from the
 // negative cache, and concurrent calls for the same zone coalesce.
 func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation, error) {
-	zoneName = dnswire.CanonicalName(zoneName)
 	if r.Cache == nil {
 		return r.delegationFrom(ctx, zoneName, r.Roots, ".")
 	}
@@ -281,12 +280,12 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 			for _, rr := range resp.Authority {
 				switch rr.Type() {
 				case dnswire.TypeDS:
-					if dnswire.CanonicalName(rr.Name) == cut {
+					if rr.Name == cut {
 						d.DS = append(d.DS, rr)
 					}
 				case dnswire.TypeRRSIG:
 					sig := rr.Data.(*dnswire.RRSIG)
-					if sig.TypeCovered == dnswire.TypeDS && dnswire.CanonicalName(rr.Name) == cut {
+					if sig.TypeCovered == dnswire.TypeDS && rr.Name == cut {
 						d.DSSigs = append(d.DSSigs, rr)
 					}
 				}
@@ -316,7 +315,7 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 			// a zone cut at all. Synthesize from the answer's NS set.
 			var nsSet []dnswire.RR
 			for _, rr := range resp.Answer {
-				if rr.Type() == dnswire.TypeNS && dnswire.CanonicalName(rr.Name) == zoneName {
+				if rr.Type() == dnswire.TypeNS && rr.Name == zoneName {
 					nsSet = append(nsSet, rr)
 				}
 			}
@@ -343,7 +342,7 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 			// the walk reached. The DS RRSIG names the true delegating
 			// zone.
 			if len(d.DSSigs) > 0 {
-				d.ParentZone = dnswire.CanonicalName(d.DSSigs[0].Data.(*dnswire.RRSIG).SignerName)
+				d.ParentZone = d.DSSigs[0].Data.(*dnswire.RRSIG).SignerName
 			}
 			return d, nil
 		}
@@ -364,11 +363,10 @@ func referralCut(resp *dnswire.Message) (string, []dnswire.RR) {
 		if rr.Type() != dnswire.TypeNS {
 			continue
 		}
-		name := dnswire.CanonicalName(rr.Name)
 		if cut == "" {
-			cut = name
+			cut = rr.Name
 		}
-		if name == cut {
+		if rr.Name == cut {
 			nsSet = append(nsSet, rr)
 		}
 	}
@@ -381,17 +379,16 @@ func (r *Resolver) serversForDelegation(ctx context.Context, d *Delegation) ([]n
 	var out []netip.AddrPort
 	glueByHost := make(map[string][]netip.Addr)
 	for _, rr := range d.Glue {
-		host := dnswire.CanonicalName(rr.Name)
 		switch a := rr.Data.(type) {
 		case *dnswire.A:
-			glueByHost[host] = append(glueByHost[host], a.Addr)
+			glueByHost[rr.Name] = append(glueByHost[rr.Name], a.Addr)
 		case *dnswire.AAAA:
-			glueByHost[host] = append(glueByHost[host], a.Addr)
+			glueByHost[rr.Name] = append(glueByHost[rr.Name], a.Addr)
 		}
 	}
 	var needsResolve []string
 	for _, host := range d.NSHosts() {
-		addrs := glueByHost[dnswire.CanonicalName(host)]
+		addrs := glueByHost[host]
 		if len(addrs) == 0 {
 			needsResolve = append(needsResolve, host)
 			continue
@@ -469,7 +466,6 @@ func (r *Resolver) cachedZone(zoneName string) ([]netip.AddrPort, string, bool) 
 // section of the final response together with its rcode. CNAMEs are
 // followed across zones.
 func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnswire.Type) ([]dnswire.RR, dnswire.Rcode, error) {
-	name = dnswire.CanonicalName(name)
 	for aliasDepth := 0; aliasDepth < 8; aliasDepth++ {
 		answer, rcode, err := r.lookupOnce(ctx, name, qtype)
 		if err != nil {
@@ -537,7 +533,7 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 		}
 		d := &Delegation{Zone: cut}
 		for _, rr := range resp.Authority {
-			if rr.Type() == dnswire.TypeNS && dnswire.CanonicalName(rr.Name) == cut {
+			if rr.Type() == dnswire.TypeNS && rr.Name == cut {
 				d.ParentNS = append(d.ParentNS, rr)
 			}
 		}
@@ -564,7 +560,6 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 // concurrently never fail each other: with a Cache installed they
 // coalesce onto one execution, without one each resolves on its own.
 func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, error) {
-	host = dnswire.CanonicalName(host)
 	if r.Cache != nil {
 		return r.addrsOfCached(ctx, host)
 	}

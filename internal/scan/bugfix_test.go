@@ -156,24 +156,19 @@ func TestProbeSignalPartialFailure(t *testing.T) {
 }
 
 // TestScanAllHonoursCancelledContext: a cancelled context must stop the
-// scan before any query is issued and still yield one observation per
-// zone, each carrying the cancellation.
+// scan before any query is issued and surface the cancellation as
+// ScanAll's error, not as padded observations.
 func TestScanAllHonoursCancelledContext(t *testing.T) {
 	_, s, _ := faultScanner(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	zones := []string{"a.example.com.", "b.example.com.", "c.example.com."}
-	out := s.ScanAll(ctx, zones)
-	if len(out) != len(zones) {
-		t.Fatalf("observations = %d, want %d", len(out), len(zones))
+	out, err := s.ScanAll(ctx, zones)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanAll error = %v, want context.Canceled", err)
 	}
-	for i, obs := range out {
-		if obs == nil {
-			t.Fatalf("observation %d is nil", i)
-		}
-		if obs.ResolveErr == "" {
-			t.Errorf("observation %d has no resolve error", i)
-		}
+	if out != nil {
+		t.Errorf("cancelled ScanAll returned %d observations, want none", len(out))
 	}
 	if q := s.cfg.Resolver.Queries(); q != 0 {
 		t.Errorf("cancelled scan issued %d queries, want 0", q)

@@ -101,7 +101,10 @@ func TestCacheKeepsScanOutputsWithFewerQueries(t *testing.T) {
 	// One shared scanner with the cache: TLD walks and NS address
 	// resolutions paid once across the whole scan.
 	cachedScanner := core.NewScanner(world, core.Options{Seed: 3, Concurrency: 1})
-	cachedObs := cachedScanner.ScanAll(ctx, world.Targets)
+	cachedObs, err := cachedScanner.ScanAll(ctx, world.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cachedQueries int64
 	for _, obs := range cachedObs {
 		cachedQueries += obs.Queries

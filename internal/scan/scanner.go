@@ -108,37 +108,27 @@ func (s *Scanner) validator(ctx context.Context) *Validator {
 // ScanAll scans every zone with bounded concurrency, preserving input
 // order in the result. It is the buffering convenience wrapper around
 // ScanStream: observations stream into the result slice as they are
-// emitted. When ctx is cancelled no further zones are launched; the
-// unscanned tail is filled with observations carrying the cancellation
-// as their resolve error.
-func (s *Scanner) ScanAll(ctx context.Context, zones []string) []*ZoneObservation {
+// emitted. When ctx is cancelled no further zones are launched and
+// ScanAll returns ctx.Err() instead of a partial result.
+func (s *Scanner) ScanAll(ctx context.Context, zones []string) ([]*ZoneObservation, error) {
 	out := make([]*ZoneObservation, len(zones))
-	res, _ := s.ScanStream(ctx, zones, StreamOptions{
+	res, err := s.ScanStream(ctx, zones, StreamOptions{
 		Sink: func(i int, zo *ZoneObservation) error {
 			out[i] = zo
 			return nil
 		},
 	})
-	if res.Next < len(zones) {
-		// The sink above never fails and ScanAll passes no drain signal,
-		// so an early stop always means the context died.
-		msg := "scan aborted"
-		if err := ctx.Err(); err != nil {
-			msg = err.Error()
-		}
-		for j := res.Next; j < len(zones); j++ {
-			out[j] = &ZoneObservation{
-				Zone:       dnswire.CanonicalName(zones[j]),
-				ResolveErr: msg,
-			}
-		}
+	if err == nil && res.Drained {
+		err = ctx.Err() // ScanAll passes no Drain: only a dead context stops it early
 	}
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ScanZone performs the full per-zone measurement.
 func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservation {
-	zoneName = dnswire.CanonicalName(zoneName)
 	zo := &ZoneObservation{Zone: zoneName}
 	sp := s.cfg.Tracer.StartSpan(zoneName)
 	ctx = obs.WithSpan(ctx, sp)
@@ -188,20 +178,7 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		}
 	}
 
-	// Resolve every NS host to its addresses.
-	var pairs []hostAddr
-	glue := glueMap(d.Glue)
-	for _, host := range zo.ParentNS {
-		addrs := glue[dnswire.CanonicalName(host)]
-		if len(addrs) == 0 {
-			if got, err := s.cfg.Resolver.AddrsOf(ctx, host); err == nil {
-				addrs = got
-			}
-		}
-		for _, a := range addrs {
-			pairs = append(pairs, hostAddr{dnswire.CanonicalName(host), a})
-		}
-	}
+	pairs := s.nsAddrs(ctx, zo.ParentNS, d.Glue)
 	if len(pairs) == 0 {
 		zo.ResolveErr = "no reachable nameserver addresses"
 		return zo
@@ -224,7 +201,7 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 	}
 	if resp, err := s.exchange(ctx, alive.addr, zoneName, dnswire.TypeNS); err == nil {
 		for _, rr := range resp.Answer {
-			if ns, ok := rr.Data.(*dnswire.NS); ok && dnswire.CanonicalName(rr.Name) == zoneName {
+			if ns, ok := rr.Data.(*dnswire.NS); ok && rr.Name == zoneName {
 				zo.ChildNS = append(zo.ChildNS, ns.Target)
 			}
 		}
@@ -295,7 +272,7 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		// the two views are exactly the Cloudflare misconfiguration the
 		// paper reports (§4.4).
 		for _, host := range zo.AllNSHosts() {
-			sig := s.probeSignal(ctx, zoneName, dnswire.CanonicalName(host))
+			sig := s.probeSignal(ctx, zoneName, host)
 			zo.Signals = append(zo.Signals, sig)
 			if sp != nil {
 				sp.Emit(obs.TraceEvent{Stage: "scan", Event: "signal_probe", Name: sig.Owner,
@@ -331,18 +308,31 @@ func (s *Scanner) signalCandidate(obs *ZoneObservation) bool {
 	return false
 }
 
-func glueMap(glue []dnswire.RR) map[string][]netip.Addr {
-	m := make(map[string][]netip.Addr)
+// nsAddrs pairs every NS host with its addresses: its glue, or a
+// resolver lookup for a host without glue.
+func (s *Scanner) nsAddrs(ctx context.Context, hosts []string, glue []dnswire.RR) []hostAddr {
+	byHost := make(map[string][]netip.Addr)
 	for _, rr := range glue {
-		host := dnswire.CanonicalName(rr.Name)
 		switch a := rr.Data.(type) {
 		case *dnswire.A:
-			m[host] = append(m[host], a.Addr)
+			byHost[rr.Name] = append(byHost[rr.Name], a.Addr)
 		case *dnswire.AAAA:
-			m[host] = append(m[host], a.Addr)
+			byHost[rr.Name] = append(byHost[rr.Name], a.Addr)
 		}
 	}
-	return m
+	var pairs []hostAddr
+	for _, host := range hosts {
+		addrs := byHost[host]
+		if len(addrs) == 0 {
+			if got, err := s.cfg.Resolver.AddrsOf(ctx, host); err == nil {
+				addrs = got
+			}
+		}
+		for _, a := range addrs {
+			pairs = append(pairs, hostAddr{host, a})
+		}
+	}
+	return pairs
 }
 
 // sampled decides whether this zone's NS pool is subject to sampling:
@@ -444,7 +434,7 @@ func (s *Scanner) queryCDS(ctx context.Context, addr netip.Addr, zoneName string
 	}
 	var records, sigs []dnswire.RR
 	for _, rr := range resp.Answer {
-		if rr.Type() == typ && dnswire.CanonicalName(rr.Name) == zoneName {
+		if rr.Type() == typ && rr.Name == zoneName {
 			records = append(records, rr)
 		}
 		if sig, ok := rr.Data.(*dnswire.RRSIG); ok && sig.TypeCovered == typ {
@@ -545,7 +535,7 @@ func (s *Scanner) probeSignalType(ctx context.Context, so *SignalObservation, ty
 	}
 	found := false
 	for _, rr := range answer {
-		if rr.Type() == typ && dnswire.CanonicalName(rr.Name) == so.Owner {
+		if rr.Type() == typ && rr.Name == so.Owner {
 			so.Records = append(so.Records, rr)
 			found = true
 		}
@@ -605,7 +595,7 @@ func (s *Scanner) checkZoneCuts(ctx context.Context, obs *ZoneObservation) {
 				continue // NXDOMAIN / timeout: no cut evidence here
 			}
 			for _, rr := range answer {
-				if rr.Type() == dnswire.TypeNS && dnswire.CanonicalName(rr.Name) == name {
+				if rr.Type() == dnswire.TypeNS && rr.Name == name {
 					so.ZoneCut = true
 				}
 			}

@@ -46,7 +46,6 @@ var (
 // ZoneKeys returns the validated DNSKEY RRset of zoneName, walking and
 // authenticating the chain from the root on first use.
 func (v *Validator) ZoneKeys(ctx context.Context, zoneName string) ([]dnswire.RR, error) {
-	zoneName = dnswire.CanonicalName(zoneName)
 	v.mu.Lock()
 	if v.cache == nil {
 		v.cache = make(map[string]*chainEntry)

@@ -14,24 +14,11 @@ import (
 // at the apex. Zones using NSEC3 are not walkable this way and return
 // an error, as do unsigned zones.
 func (s *Scanner) WalkZone(ctx context.Context, zoneName string) ([]string, error) {
-	zoneName = dnswire.CanonicalName(zoneName)
 	d, err := s.cfg.Resolver.Delegation(ctx, zoneName)
 	if err != nil {
 		return nil, err
 	}
-	glue := glueMap(d.Glue)
-	var addrs []hostAddr
-	for _, host := range d.NSHosts() {
-		hostAddrs := glue[dnswire.CanonicalName(host)]
-		if len(hostAddrs) == 0 {
-			if got, err := s.cfg.Resolver.AddrsOf(ctx, host); err == nil {
-				hostAddrs = got
-			}
-		}
-		for _, a := range hostAddrs {
-			addrs = append(addrs, hostAddr{host, a})
-		}
-	}
+	addrs := s.nsAddrs(ctx, d.NSHosts(), d.Glue)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("scan: no reachable nameservers for %s", zoneName)
 	}
@@ -49,8 +36,8 @@ func (s *Scanner) WalkZone(ctx context.Context, zoneName string) ([]string, erro
 				continue
 			}
 			for _, rr := range resp.Answer {
-				if nsec, ok := rr.Data.(*dnswire.NSEC); ok && dnswire.CanonicalName(rr.Name) == name {
-					return dnswire.CanonicalName(nsec.NextDomain), nil
+				if nsec, ok := rr.Data.(*dnswire.NSEC); ok && rr.Name == name {
+					return nsec.NextDomain, nil
 				}
 			}
 			// No NSEC at this name: NSEC3 zone or unsigned.

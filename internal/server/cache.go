@@ -83,7 +83,7 @@ func keyFor(q *dnswire.Message) (cacheKey, bool) {
 	}
 	que := q.Question[0]
 	return cacheKey{
-		name:  dnswire.CanonicalName(que.Name),
+		name:  que.Name,
 		qtype: que.Type,
 		class: que.Class,
 		do:    q.DNSSECOK(),

@@ -79,14 +79,14 @@ func (s *Server) AddZone(z *zone.Zone) {
 func (s *Server) RemoveZone(origin string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.zones, dnswire.CanonicalName(origin))
+	delete(s.zones, origin)
 }
 
 // Zone returns the zone exactly matching origin, or nil.
 func (s *Server) Zone(origin string) *zone.Zone {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.zones[dnswire.CanonicalName(origin)]
+	return s.zones[origin]
 }
 
 // Zones lists the origins the server is authoritative for, sorted.
@@ -101,14 +101,13 @@ func (s *Server) Zones() []string {
 	return out
 }
 
-// findZone returns the most-specific zone whose origin encloses qname.
+// findZone returns the most-specific zone whose origin encloses name.
 // A child zone hosted alongside its parent wins for names under it.
 // Lookup walks the name's ancestor chain, so it is O(labels) even when
 // the server hosts hundreds of thousands of zones.
-func (s *Server) findZone(qname string, qtype dnswire.Type) *zone.Zone {
+func (s *Server) findZone(name string, qtype dnswire.Type) *zone.Zone {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	name := dnswire.CanonicalName(qname)
 	if qtype == dnswire.TypeDS && name != "." {
 		// DS records live on the parent side of a zone cut: when the
 		// server hosts both parent and child, the child's apex must not
@@ -155,7 +154,7 @@ func (s *Server) HandleDNS(ctx context.Context, local netip.Addr, q *dnswire.Mes
 		return reply(q, dnswire.RcodeServFail), nil
 	}
 	question := q.Question[0]
-	qname := dnswire.CanonicalName(question.Name)
+	qname := question.Name
 	qtype := question.Type
 
 	if (s.LegacyUnknownTypes || s.DropUnknownTypes) && !classicTypes[qtype] {
@@ -420,24 +419,12 @@ func (s *Server) coveringNSEC(z *zone.Zone, qname string) *dnswire.RR {
 	if len(names) == 0 {
 		return nil
 	}
-	qname = dnswire.CanonicalName(qname)
 	idx := sort.Search(len(names), func(i int) bool {
 		return !dnswire.CanonicalNameLess(names[i], qname)
 	}) - 1
 	try := func(i int) *dnswire.RR {
 		set := z.RRset(names[i], dnswire.TypeNSEC)
-		if len(set) == 0 {
-			return nil
-		}
-		nsec := set[0].Data.(*dnswire.NSEC)
-		owner, next := set[0].Name, nsec.NextDomain
-		var covered bool
-		if dnswire.CanonicalNameLess(owner, next) {
-			covered = dnswire.CanonicalNameLess(owner, qname) && dnswire.CanonicalNameLess(qname, next)
-		} else {
-			covered = dnswire.CanonicalNameLess(owner, qname) || dnswire.CanonicalNameLess(qname, next)
-		}
-		if !covered {
+		if len(set) == 0 || !dnssec.NSECCoversName(set[0], qname) {
 			return nil
 		}
 		rr := set[0]
@@ -537,7 +524,7 @@ func (p *Parking) HandleDNS(_ context.Context, _ netip.Addr, q *dnswire.Message)
 	}
 	m := reply(q, dnswire.RcodeNoError)
 	m.Authoritative = true
-	qname := dnswire.CanonicalName(q.Question[0].Name)
+	qname := q.Question[0].Name
 	switch q.Question[0].Type {
 	default:
 		// Parking boxes predate the modern RR types; they error on
@@ -551,7 +538,7 @@ func (p *Parking) HandleDNS(_ context.Context, _ netip.Addr, q *dnswire.Message)
 		m.Answer = append(m.Answer, dnswire.RR{Name: qname, Class: dnswire.ClassIN, TTL: 3600, Data: &dnswire.A{Addr: p.Addr}})
 	case dnswire.TypeSOA:
 		m.Answer = append(m.Answer, dnswire.RR{Name: qname, Class: dnswire.ClassIN, TTL: 3600, Data: &dnswire.SOA{
-			MName: dnswire.CanonicalName(p.NSHosts[0]), RName: "hostmaster." + dnswire.CanonicalName(p.NSHosts[0]),
+			MName: p.NSHosts[0], RName: "hostmaster." + p.NSHosts[0],
 			Serial: 1, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300}})
 	}
 	return m, nil

@@ -143,7 +143,7 @@ func tupleKey(addr netip.Addr, q *dnswire.Message) uint64 {
 	b, _ := addr.MarshalBinary()
 	h.Write(b)
 	if len(q.Question) > 0 {
-		h.Write([]byte(dnswire.CanonicalName(q.Question[0].Name)))
+		h.Write([]byte(q.Question[0].Name))
 		var t [2]byte
 		binary.BigEndian.PutUint16(t[:], uint16(q.Question[0].Type))
 		h.Write(t[:])

@@ -267,13 +267,10 @@ func (p *fileParser) absName(tok string) string {
 	if tok == "@" {
 		return p.origin
 	}
-	if strings.HasSuffix(tok, ".") {
-		return dnswire.CanonicalName(tok)
+	if !strings.HasSuffix(tok, ".") && p.origin != "." {
+		tok += "." + p.origin
 	}
-	if p.origin == "." {
-		return dnswire.CanonicalName(tok)
-	}
-	return dnswire.CanonicalName(tok + "." + p.origin)
+	return dnswire.CanonicalName(tok)
 }
 
 func unq(tok string) string { return strings.TrimPrefix(tok, "\x00") }

@@ -238,7 +238,6 @@ func (z *Zone) ResignRRset(owner string, typ dnswire.Type, cfg SignConfig) error
 	if typ == dnswire.TypeDNSKEY {
 		key = ksk
 	}
-	owner = dnswire.CanonicalName(owner)
 	// Drop existing signatures covering typ, keep the rest.
 	old := z.RRset(owner, dnswire.TypeRRSIG)
 	z.RemoveSet(owner, dnswire.TypeRRSIG)
@@ -329,8 +328,7 @@ func SignalRecords(child string, nsHost string, cdsSet []dnswire.RR) ([]dnswire.
 // the length limit the paper discusses (names over 255 octets cannot be
 // signalled).
 func SignalName(child, nsHost string) (string, error) {
-	name := "_dsboot." + dnswire.CanonicalName(child) + "_signal." + dnswire.CanonicalName(nsHost)
-	name = dnswire.CanonicalName(name)
+	name := "_dsboot." + child + "_signal." + nsHost
 	if _, err := dnswire.NameWireLength(name); err != nil {
 		return "", fmt.Errorf("zone: signal name for %s under %s: %w", child, nsHost, err)
 	}
